@@ -43,7 +43,7 @@ Result<LogReplayStats> ReplayLog(File& file, const LogReplayOptions& options,
                                  const std::function<Status(ByteSpan)>& apply);
 
 // As ReplayLog, but the callback also receives each entry's byte offset within the
-// log file (used by the shared-log partitioned engine, whose partitions replay from
+// log file (used by ShardedDatabase, whose shards replay the one shared log from
 // different positions).
 Result<LogReplayStats> ReplayLogWithOffsets(
     File& file, const LogReplayOptions& options,

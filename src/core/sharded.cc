@@ -13,6 +13,9 @@
 namespace sdb {
 namespace {
 
+// Ring points per shard for the consistent-hash router.
+constexpr std::size_t kVnodesPerShard = 64;
+
 struct ShardMeta {
   std::uint64_t checkpoint_version = 0;
   std::uint64_t replay_from = 0;
@@ -164,7 +167,7 @@ void ShardedDatabase::ShardUnit::ReleaseCheckpointSlot() {
 // The atomic-rename-committed record binding the ensemble together: the live log
 // generation plus, per shard, the checkpoint version and the shared-log offset the
 // checkpoint is current to. Its rename is every checkpoint's and rotation's commit
-// point (the same scheme SharedLogDatabase established).
+// point.
 struct ShardedDatabase::Manifest {
   std::uint64_t log_generation = 1;
   std::vector<ShardMeta> shards;
@@ -174,7 +177,7 @@ struct ShardedDatabase::Manifest {
 ShardedDatabase::ShardedDatabase(std::size_t shards, ShardedOptions options)
     : options_(std::move(options)),
       clock_(options_.clock != nullptr ? options_.clock : &wall_clock_),
-      router_(shards, options_.vnodes_per_shard) {}
+      router_(shards, kVnodesPerShard) {}
 
 ShardedDatabase::~ShardedDatabase() {
   // Pipelines first (batches reference the sinks and coalescer), then the

@@ -5,10 +5,9 @@
 // we could either use multiple log files or a single log file with more complicated
 // rules for flushing the log."
 //
-// PartitionedDatabase demonstrates the first half (independent engines, per-partition
-// logs) and SharedLogDatabase the second (one log, the rotation rule) — each in
-// isolation and each with a serial commit path. This engine is the composition at
-// full concurrency:
+// The first half needs no engine of its own: a caller holds N plain Databases, each
+// with its own checkpoint and log. This engine is the second half (one log, the
+// rotation rule) at full concurrency:
 //
 //   - N shards, each a complete per-shard unit: application state, SueLock,
 //     group-commit pipeline (PR 1's GroupCommitter, unchanged), metrics registry,
@@ -102,9 +101,6 @@ struct ShardedOptions {
   // under the deterministic sim harness, where parallel disk reads would permute
   // SimDisk op ordinals.
   int recovery_threads = 4;
-
-  // Ring points per shard for the consistent-hash router.
-  std::size_t vnodes_per_shard = 64;
 
   // Incremental (delta) checkpoints, per shard: when the shard app supports
   // CaptureDeltaSnapshot, Checkpoint(p) writes p<p>.delta<v> composing over the

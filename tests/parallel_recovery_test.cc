@@ -3,9 +3,10 @@
 // directory is then recovered with recovery_threads in {1, 2, 4, 8} and the pickled
 // application snapshot after each recovery is asserted identical to the serial
 // baseline. The matrix covers every log layout the engine can leave behind: a plain
-// checkpoint+log, a pending dual-log chain (rotation survived, persist did not), the
-// shared-log ensemble (per-partition replay_from offsets), and the sharded engine
-// (across-shard x within-shard parallelism through one pool).
+// checkpoint+log, a pending dual-log chain (rotation survived, persist did not), and
+// the sharded engine's one shared log, driven both by explicit partition
+// (per-partition replay_from offsets) and by key (across-shard x within-shard
+// parallelism through one pool).
 //
 // The suite name contains "Concurrent" on the batch-dispatch tests so the CI
 // thread-sanitizer job (filter *Concurrent*:*Parallel*) exercises the pool.
@@ -18,7 +19,6 @@
 
 #include "src/core/database.h"
 #include "src/core/parallel_replay.h"
-#include "src/core/shared_log.h"
 #include "src/core/sharded.h"
 #include "src/pickle/pickle.h"
 #include "src/sim/kv_app.h"
@@ -221,14 +221,15 @@ TEST(ParallelRecoveryTest, PendingChainRecoversByteIdenticalAtEveryThreadCount) 
   }
 }
 
-// Shared-log ensemble: the directory is rebuilt identically per thread count (the
-// simulated environment is deterministic), then recovered once. Partition 0
-// checkpoints midway so the replay must honour its replay_from offset — skipped
-// entries must never reach the replayer's batches.
+// Shared-log ensemble, partitions named explicitly (Update(p)): the directory is
+// rebuilt identically per thread count (the simulated environment is
+// deterministic), then recovered once. Partition 0 checkpoints midway so the
+// replay must honour its replay_from offset — skipped entries must never reach
+// the replayer's batches.
 TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEveryThreadCount) {
   constexpr int kPartitions = 3;
   auto build_and_recover = [&](int threads, std::vector<Bytes>* snapshots,
-                               SharedLogStats* stats) {
+                               ShardedStats* stats) {
     SimEnvOptions env_options;
     env_options.microvax_cost_model = false;
     SimEnv env(env_options);
@@ -238,15 +239,15 @@ TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEvery
       apps.push_back(std::make_unique<TestApp>());
       raw.push_back(apps.back().get());
     }
-    SharedLogOptions options;
+    ShardedOptions options;
     options.vfs = &env.fs();
     options.dir = "ensemble";
     options.clock = &env.clock();
     {
-      auto db = SharedLogDatabase::Open(raw, options);
+      auto db = ShardedDatabase::Open(raw, options);
       ASSERT_TRUE(db.ok()) << db.status();
       for (int i = 0; i < 90; ++i) {
-        int p = i % kPartitions;
+        std::size_t p = static_cast<std::size_t>(i % kPartitions);
         std::string key = "k" + std::to_string(i % 10);
         ASSERT_TRUE(
             (*db)->Update(p, apps[p]->PreparePut(key, "v" + std::to_string(i))).ok());
@@ -261,7 +262,7 @@ TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEvery
       app->state.clear();
     }
     options.recovery_threads = threads;
-    auto db = SharedLogDatabase::Open(raw, options);
+    auto db = ShardedDatabase::Open(raw, options);
     ASSERT_TRUE(db.ok()) << "recovery_threads=" << threads << ": " << db.status();
     *stats = (*db)->stats();
     snapshots->clear();
@@ -273,7 +274,7 @@ TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEvery
   };
 
   std::vector<Bytes> baseline;
-  SharedLogStats serial;
+  ShardedStats serial;
   build_and_recover(1, &baseline, &serial);
   if (::testing::Test::HasFatalFailure()) {
     return;
@@ -283,7 +284,7 @@ TEST(ParallelRecoveryConcurrentTest, SharedLogEnsembleRecoversIdenticallyAtEvery
   for (int threads : kThreadCounts) {
     SCOPED_TRACE("recovery_threads " + std::to_string(threads));
     std::vector<Bytes> snapshots;
-    SharedLogStats stats;
+    ShardedStats stats;
     build_and_recover(threads, &snapshots, &stats);
     if (::testing::Test::HasFatalFailure()) {
       return;
