@@ -1,5 +1,7 @@
 #include "src/common/clock.h"
 
+#include <time.h>
+
 #include <chrono>
 
 namespace sdb {
@@ -8,6 +10,12 @@ Micros WallClock::NowMicros() const {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
+}
+
+Micros ThreadCpuMicros() {
+  timespec ts{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<Micros>(ts.tv_sec) * kMicrosPerSecond + ts.tv_nsec / 1000;
 }
 
 }  // namespace sdb

@@ -49,6 +49,10 @@ class SimClock final : public Clock {
   std::atomic<Micros> now_;
 };
 
+// CPU time the calling thread has consumed (CLOCK_THREAD_CPUTIME_ID). Unlike a
+// wall clock it does not advance while the thread is descheduled.
+Micros ThreadCpuMicros();
+
 // A scoped stopwatch reading from any Clock.
 class Stopwatch {
  public:

@@ -285,14 +285,14 @@ struct RestartBreakdown {
   // overstate elapsed time by up to the thread count — that aggregate is
   // replay_cpu_micros below.
   Micros replay_micros = 0;
-  // Aggregate replay work: the sequential partition pass plus apply time summed
-  // across all workers. Equals replay_micros under serial replay; exceeds it when
-  // parallel replay achieves real overlap (the ratio is the effective speedup).
+  // Aggregate replay work: the sequential partition pass (wall: it includes the
+  // log reads) plus the workers' summed thread CPU time. Equals replay_micros under
+  // serial replay; exceeds it only when parallel replay really overlaps.
   Micros replay_cpu_micros = 0;
   std::uint64_t replay_batches = 0;       // key-batches dispatched (0 = serial)
   std::uint64_t replay_threads_used = 0;  // workers the replay actually ran on
   Micros partition_pass_micros = 0;       // sequential pass: read + key partition
-  Micros batch_apply_micros = 0;          // worker apply time, summed (CPU aggregate)
+  Micros batch_apply_micros = 0;          // worker apply thread CPU time, summed
   std::uint64_t entries_replayed = 0;
   bool partial_tail_discarded = false;
   std::uint64_t entries_skipped = 0;

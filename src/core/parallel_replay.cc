@@ -157,13 +157,13 @@ Status ParallelReplayer::Finish() {
   pool.reserve(workers);
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&] {
-      Micros busy = 0;
+      // Thread CPU time, not wall: a descheduled worker does no replay work.
+      const Micros cpu_start = ThreadCpuMicros();
       for (std::size_t t = next.fetch_add(1); t < tasks.size(); t = next.fetch_add(1)) {
         if (failed.load(std::memory_order_relaxed)) {
           break;
         }
         Task& task = tasks[t];
-        Stopwatch watch(*clock_);
         for (std::uint32_t index : task.indices) {
           if (failed.load(std::memory_order_relaxed)) {
             break;
@@ -178,9 +178,8 @@ Status ParallelReplayer::Finish() {
             break;
           }
         }
-        busy += watch.ElapsedMicros();
       }
-      apply_micros.fetch_add(busy, std::memory_order_relaxed);
+      apply_micros.fetch_add(ThreadCpuMicros() - cpu_start, std::memory_order_relaxed);
     });
   }
   for (std::thread& t : pool) {

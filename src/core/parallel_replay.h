@@ -53,7 +53,7 @@ struct ParallelReplayOptions {
   // strands less work behind it) at the cost of more merge contexts.
   int batches_per_thread = 4;
 
-  // Timing source for the stats below. Null uses a process WallClock.
+  // Timing source for partition_pass_micros. Null uses a process WallClock.
   Clock* clock = nullptr;
 };
 
@@ -64,7 +64,8 @@ struct ParallelReplayStats {
   // Wall time of the sequential partition pass: first Add() to dispatch. Includes
   // the log read itself — the pass is the replay pipeline's sequential fraction.
   Micros partition_pass_micros = 0;
-  // Worker apply time summed across the pool — aggregate CPU, not wall clock.
+  // Worker apply time summed across the pool, as thread CPU time
+  // (CLOCK_THREAD_CPUTIME_ID), so time a worker spent descheduled is not counted.
   Micros batch_apply_micros = 0;
   // Applications that fell back to in-order apply (no batch support, or a record
   // whose key could not be extracted).

@@ -64,6 +64,12 @@ void RegisterNameService(rpc::RpcServer& rpc_server, NameServer& server) {
         SDB_ASSIGN_OR_RETURN(Bytes state, server.FullState());
         return FullStateResponse{std::move(state)};
       });
+  // Lookup and List read the tree under the shared lock and touch no disk: the
+  // paper's cheap enquiry, which a transport may serve on its I/O thread. Export,
+  // FullState and UpdatesSince stay kOther: they scan or pickle the whole tree.
+  // Both are registered above, so marking them cannot fail.
+  (void)rpc_server.MarkEnquiry(kNameService, "Lookup");
+  (void)rpc_server.MarkEnquiry(kNameService, "List");
 }
 
 void RegisterNameService(rpc::RpcServer& rpc_server, NameServer& server,

@@ -15,8 +15,10 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/clock.h"
@@ -193,24 +195,38 @@ class NetServer::Impl {
     // Event-loop-only state.
     const int fd;
     FrameDecoder decoder;
-    bool reading_paused = false;
-    bool want_write = false;
+    std::uint32_t armed = EPOLLIN;  // the interest set epoll holds for fd
+    Bytes gathered;                 // framed enquiry responses of the current read pass
 
-    // Requests decoded but not yet answered (loop increments, workers decrement).
+    // Requests decoded but not yet answered (the loop increments; whichever thread
+    // answers decrements).
     std::atomic<std::size_t> in_flight{0};
 
-    // Workers append encoded response bytes; the loop drains them to the socket.
+    // Unsent response bytes. Every send on fd happens under mu and from the outbox
+    // front, so two frames' bytes never interleave and nothing is sent once closed.
     std::mutex mu;
     std::deque<Bytes> outbox;
     std::size_t outbox_head = 0;   // bytes of outbox.front() already sent
     std::size_t outbox_bytes = 0;  // total unsent bytes across the deque
+    bool reading_paused = false;   // set by the loop; workers write through only if false
     bool closed = false;
   };
 
+  // A request for the dispatch pool: a batchable update or a method that may block.
   struct Work {
     std::shared_ptr<Connection> conn;
-    Frame frame;
+    std::uint64_t request_id = 0;
+    rpc::Request request;
+    rpc::Route route;
     Micros enqueued = 0;
+  };
+
+  // A request the event loop answers itself: an enquiry, or a method nobody
+  // registered.
+  struct Enquiry {
+    std::uint64_t request_id = 0;
+    rpc::Request request;
+    rpc::Route route;
   };
 
   Status Arm(int fd, std::uint32_t events) {
@@ -221,14 +237,6 @@ class NetServer::Impl {
       return Errno("epoll_ctl add");
     }
     return OkStatus();
-  }
-
-  void Rearm(Connection& conn) {
-    epoll_event ev{};
-    ev.events = (conn.reading_paused ? 0u : EPOLLIN) |
-                (conn.want_write ? EPOLLOUT : 0u);
-    ev.data.fd = conn.fd;
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
   }
 
   void Wake() {
@@ -300,7 +308,7 @@ class NetServer::Impl {
       ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       auto conn = std::make_shared<Connection>(fd, options_.max_frame_payload);
       conns_.emplace(fd, conn);
-      if (!Arm(fd, EPOLLIN).ok()) {
+      if (!Arm(fd, conn->armed).ok()) {
         conns_.erase(fd);
         ::close(fd);
         continue;
@@ -311,6 +319,8 @@ class NetServer::Impl {
     }
   }
 
+  // One read pass: reads until the socket is drained or backpressure engages, then
+  // sends the pass's enquiry responses with one send.
   void ReadConn(const std::shared_ptr<Connection>& conn) {
     std::uint8_t buf[64 * 1024];
     for (;;) {
@@ -319,11 +329,13 @@ class NetServer::Impl {
         bytes_in_.fetch_add(static_cast<std::uint64_t>(n));
         Obs().bytes_in->Add(static_cast<std::uint64_t>(n));
         conn->decoder.Feed(ByteSpan(buf, static_cast<std::size_t>(n)));
-        if (!DrainFrames(conn)) {
+        if (!ServeFrames(conn)) {
           return;  // connection closed on protocol error
         }
-        if (static_cast<std::size_t>(n) < sizeof(buf)) {
-          break;  // short read: the socket is drained
+        // A short read drained the socket. An overloaded connection stops here;
+        // epoll reports the unread bytes again once reads resume.
+        if (static_cast<std::size_t>(n) < sizeof(buf) || Overloaded(*conn)) {
+          break;
         }
         continue;
       }
@@ -340,107 +352,145 @@ class NetServer::Impl {
       CloseConn(conn);
       return;
     }
-    MaybePauseReads(*conn);
+    FlushConn(conn);
   }
 
-  // Decodes every complete frame into work items. Returns false when the
-  // connection was closed (corrupt stream or a non-request frame).
-  bool DrainFrames(const std::shared_ptr<Connection>& conn) {
-    std::size_t enqueued = 0;
+  // Decodes every complete frame and routes it. Pool work is queued, and a worker
+  // notified, before this pass's enquiries run, so no update waits behind them.
+  // Returns false when the connection was closed (corrupt stream or a non-request
+  // frame).
+  bool ServeFrames(const std::shared_ptr<Connection>& conn) {
+    const bool timing = obs::Enabled();
+    bool corrupt = false;
     for (;;) {
       Result<std::optional<Frame>> next = conn->decoder.Next();
       if (!next.ok()) {
-        decode_errors_.fetch_add(1);
-        Obs().decode_errors->Increment();
-        CloseConn(conn);
-        return false;
+        corrupt = true;
+        break;
       }
       if (!next->has_value()) {
         break;
       }
       Frame frame = std::move(**next);
       if (frame.type != FrameType::kRequest) {
-        decode_errors_.fetch_add(1);
-        Obs().decode_errors->Increment();
-        CloseConn(conn);
-        return false;
+        corrupt = true;
+        break;
       }
       frames_in_.fetch_add(1);
       Obs().frames_in->Increment();
       conn->in_flight.fetch_add(1);
-      Work work;
-      work.conn = conn;
-      work.frame = std::move(frame);
-      work.enqueued = obs::Enabled() ? NowMicros() : 0;
+      Result<rpc::Request> request = rpc::DecodeRequest(AsSpan(frame.payload));
+      if (!request.ok()) {
+        rpc::Response response;
+        response.status = request.status();
+        Answer(*conn, frame.request_id, rpc::EncodeResponse(response));
+        continue;
+      }
+      rpc::Route route = rpc_.Find(request->service, request->method);
+      if (!route.found() || route.kind() == rpc::MethodKind::kEnquiry) {
+        enquiries_.push_back(
+            Enquiry{frame.request_id, std::move(*request), std::move(route)});
+      } else {
+        pool_batch_.push_back(Work{conn, frame.request_id, std::move(*request),
+                                   std::move(route), timing ? NowMicros() : 0});
+      }
+    }
+
+    if (!pool_batch_.empty()) {
+      const std::size_t queued = pool_batch_.size();
       {
         std::lock_guard<std::mutex> lock(queue_mu_);
-        work_.push_back(std::move(work));
+        for (Work& work : pool_batch_) {
+          work_.push_back(std::move(work));
+        }
       }
-      ++enqueued;
+      pool_batch_.clear();
+      if (queued == 1) {
+        queue_cv_.notify_one();
+      } else {
+        queue_cv_.notify_all();
+      }
     }
-    if (enqueued == 1) {
-      queue_cv_.notify_one();
-    } else if (enqueued > 1) {
-      queue_cv_.notify_all();
+    if (corrupt) {
+      enquiries_.clear();
+      decode_errors_.fetch_add(1);
+      Obs().decode_errors->Increment();
+      CloseConn(conn);
+      return false;
     }
+    for (Enquiry& enquiry : enquiries_) {
+      Micros start = timing ? NowMicros() : 0;
+      Bytes response = rpc_.Dispatch(enquiry.route, enquiry.request);
+      if (timing) {
+        Obs().dispatch_us->Record(NowMicros() - start);
+      }
+      Answer(*conn, enquiry.request_id, response);
+    }
+    enquiries_.clear();
     return true;
   }
 
-  void MaybePauseReads(Connection& conn) {
-    std::size_t outbox_bytes;
-    {
-      std::lock_guard<std::mutex> lock(conn.mu);
-      outbox_bytes = conn.outbox_bytes;
-    }
-    bool overloaded = conn.in_flight.load() >= options_.max_pipelined_requests ||
-                      outbox_bytes >= options_.max_outbox_bytes;
-    if (overloaded && !conn.reading_paused) {
-      conn.reading_paused = true;
-      read_pauses_.fetch_add(1);
-      Obs().read_pauses->Increment();
-      Rearm(conn);
-    } else if (!overloaded && conn.reading_paused) {
-      conn.reading_paused = false;
-      Rearm(conn);
-    }
+  // Gathers a response the loop produced; FlushConn sends the pass's gathering.
+  void Answer(Connection& conn, std::uint64_t request_id, const Bytes& encoded_response) {
+    AppendResponse(request_id, encoded_response, conn.gathered);
+    conn.in_flight.fetch_sub(1);
   }
 
+  bool Overloaded(Connection& conn) {
+    std::lock_guard<std::mutex> lock(conn.mu);
+    return OverloadedLocked(conn);
+  }
+
+  // Responses not yet sent, gathered ones included, count toward the thresholds.
+  // Caller holds conn.mu.
+  bool OverloadedLocked(const Connection& conn) const {
+    return conn.in_flight.load() >= options_.max_pipelined_requests ||
+           conn.outbox_bytes + conn.gathered.size() >= options_.max_outbox_bytes;
+  }
+
+  // Queues the gathered responses behind the outbox, writes as much as the socket
+  // takes, and re-derives the connection's epoll interest.
   void FlushConn(const std::shared_ptr<Connection>& conn) {
-    bool fatal = false;
+    bool fatal;
     {
-      std::unique_lock<std::mutex> lock(conn->mu);
-      while (!conn->outbox.empty()) {
-        Bytes& front = conn->outbox.front();
-        const std::uint8_t* data = front.data() + conn->outbox_head;
-        std::size_t len = front.size() - conn->outbox_head;
-        ssize_t n = ::send(conn->fd, data, len, MSG_NOSIGNAL);
-        if (n < 0) {
-          if (errno == EINTR) {
-            continue;
-          }
-          if (errno == EAGAIN || errno == EWOULDBLOCK) {
-            break;
-          }
-          fatal = true;
-          break;
-        }
-        bytes_out_.fetch_add(static_cast<std::uint64_t>(n));
-        Obs().bytes_out->Add(static_cast<std::uint64_t>(n));
-        conn->outbox_bytes -= static_cast<std::size_t>(n);
-        conn->outbox_head += static_cast<std::size_t>(n);
-        if (conn->outbox_head == front.size()) {
-          conn->outbox.pop_front();
-          conn->outbox_head = 0;
-        }
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->closed) {
+        return;
       }
-      conn->want_write = !conn->outbox.empty() && !fatal;
+      if (!conn->gathered.empty()) {
+        QueueLocked(*conn, std::exchange(conn->gathered, Bytes()));
+      }
+      fatal = !DrainLocked(*conn);
     }
     if (fatal) {
       CloseConn(conn);
       return;
     }
-    Rearm(*conn);
-    MaybePauseReads(*conn);
+    UpdateInterest(*conn);
+  }
+
+  // Applies backpressure (reads pause while the connection is overloaded) and asks
+  // for EPOLLOUT while the outbox holds bytes. epoll_ctl runs only when the
+  // interest set changes.
+  void UpdateInterest(Connection& conn) {
+    std::uint32_t events;
+    {
+      std::lock_guard<std::mutex> lock(conn.mu);
+      bool overloaded = OverloadedLocked(conn);
+      if (overloaded && !conn.reading_paused) {
+        read_pauses_.fetch_add(1);
+        Obs().read_pauses->Increment();
+      }
+      conn.reading_paused = overloaded;
+      events = (overloaded ? 0u : EPOLLIN) | (conn.outbox.empty() ? 0u : EPOLLOUT);
+    }
+    if (events != conn.armed) {
+      epoll_event ev{};
+      ev.events = events;
+      ev.data.fd = conn.fd;
+      ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn.fd, &ev);
+      conn.armed = events;
+    }
   }
 
   void FlushDirty() {
@@ -450,14 +500,7 @@ class NetServer::Impl {
       dirty.swap(flush_list_);
     }
     for (const auto& conn : dirty) {
-      bool closed;
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        closed = conn->closed;
-      }
-      if (!closed) {
-        FlushConn(conn);
-      }
+      FlushConn(conn);
     }
   }
 
@@ -478,6 +521,58 @@ class NetServer::Impl {
     closed_.fetch_add(1);
     Obs().closed->Increment();
     Obs().active->Add(-1);
+  }
+
+  // --- writing, from the loop and from workers ---
+
+  // Appends the response's frames to `wire`: one kResponse frame, or kResponseChunk
+  // frames above options.chunk_payload.
+  void AppendResponse(std::uint64_t request_id, const Bytes& encoded_response,
+                      Bytes& wire) {
+    std::vector<Frame> frames =
+        ChunkResponse(request_id, AsSpan(encoded_response), options_.chunk_payload);
+    if (frames.size() > 1) {
+      chunked_.fetch_add(1);
+      Obs().chunked_responses->Increment();
+    }
+    for (const Frame& frame : frames) {
+      AppendFrame(frame, wire);
+    }
+    frames_out_.fetch_add(frames.size());
+    Obs().frames_out->Add(frames.size());
+  }
+
+  // Caller holds conn.mu.
+  static void QueueLocked(Connection& conn, Bytes wire) {
+    conn.outbox_bytes += wire.size();
+    conn.outbox.push_back(std::move(wire));
+  }
+
+  // Sends from the outbox front until it is empty or the socket is full. Caller
+  // holds conn.mu and has checked that the connection is open. Returns false on a
+  // fatal socket error.
+  bool DrainLocked(Connection& conn) {
+    while (!conn.outbox.empty()) {
+      Bytes& front = conn.outbox.front();
+      const std::uint8_t* data = front.data() + conn.outbox_head;
+      std::size_t len = front.size() - conn.outbox_head;
+      ssize_t n = ::send(conn.fd, data, len, MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) {
+          continue;
+        }
+        return errno == EAGAIN || errno == EWOULDBLOCK;
+      }
+      bytes_out_.fetch_add(static_cast<std::uint64_t>(n));
+      Obs().bytes_out->Add(static_cast<std::uint64_t>(n));
+      conn.outbox_bytes -= static_cast<std::size_t>(n);
+      conn.outbox_head += static_cast<std::size_t>(n);
+      if (conn.outbox_head == front.size()) {
+        conn.outbox.pop_front();
+        conn.outbox_head = 0;
+      }
+    }
+    return true;
   }
 
   // --- dispatch pool ---
@@ -516,7 +611,6 @@ class NetServer::Impl {
 
     struct Planned {
       Work* work = nullptr;
-      std::uint64_t call_id = 0;
       rpc::PlannedUpdate plan;
     };
     struct SinkGroup {
@@ -526,36 +620,27 @@ class NetServer::Impl {
     std::map<rpc::UpdateSink*, SinkGroup> groups;
 
     for (Work& work : gulp) {
-      ByteSpan payload = AsSpan(work.frame.payload);
-      Result<rpc::Request> request = rpc::DecodeRequest(payload);
-      if (!request.ok()) {
-        rpc::Response response;
-        response.status = request.status();
-        Respond(work, rpc::EncodeResponse(response));
-        continue;
-      }
-      std::optional<rpc::UpdateEntry> entry =
-          rpc_.FindUpdate(request->service, request->method);
-      if (!entry.has_value()) {
+      if (work.route.kind() != rpc::MethodKind::kUpdate) {
         Micros start = timing ? NowMicros() : 0;
-        Bytes response = rpc_.Dispatch(payload);
+        Bytes response = rpc_.Dispatch(work.route, work.request);
         if (timing) {
           Obs().dispatch_us->Record(NowMicros() - start);
         }
-        Respond(work, std::move(response));
+        Respond(work, response);
         continue;
       }
-      Result<rpc::PlannedUpdate> plan = entry->planner(AsSpan(request->payload));
+      const rpc::UpdateEntry& entry = work.route.update();
+      Result<rpc::PlannedUpdate> plan = entry.planner(AsSpan(work.request.payload));
       if (!plan.ok()) {
         rpc::Response response;
-        response.call_id = request->call_id;
+        response.call_id = work.request.call_id;
         response.status = plan.status();
         Respond(work, rpc::EncodeResponse(response));
         continue;
       }
-      SinkGroup& group = groups[entry->sink.get()];
-      group.sink = entry->sink;
-      group.items.push_back(Planned{&work, request->call_id, std::move(*plan)});
+      SinkGroup& group = groups[entry.sink.get()];
+      group.sink = entry.sink;
+      group.items.push_back(Planned{&work, std::move(*plan)});
     }
 
     for (auto& [key, group] : groups) {
@@ -578,7 +663,7 @@ class NetServer::Impl {
       for (std::size_t i = 0; i < group.items.size(); ++i) {
         Planned& planned = group.items[i];
         rpc::Response response;
-        response.call_id = planned.call_id;
+        response.call_id = planned.work->request.call_id;
         if (i < outcomes.size()) {
           response.status = outcomes[i];
         } else {
@@ -592,39 +677,31 @@ class NetServer::Impl {
     }
   }
 
-  // Frames the encoded response (chunking large ones), queues it on the
-  // connection's outbox, and wakes the event loop to write it out.
-  void Respond(Work& work, Bytes encoded_response) {
-    std::shared_ptr<Connection>& conn = work.conn;
-    std::vector<Frame> frames = ChunkResponse(
-        work.frame.request_id, AsSpan(encoded_response), options_.chunk_payload);
-    if (frames.size() > 1) {
-      chunked_.fetch_add(1);
-      Obs().chunked_responses->Increment();
-    }
+  // Frames the response and writes it through to the socket when nothing is queued
+  // ahead of it and reads are not paused. Otherwise, or when the socket takes only
+  // part of it, the rest waits on the outbox and the event loop is woken to flush
+  // it and re-check backpressure.
+  void Respond(Work& work, const Bytes& encoded_response) {
     Bytes wire;
-    for (const Frame& frame : frames) {
-      AppendFrame(frame, wire);
-    }
-    frames_out_.fetch_add(frames.size());
-    Obs().frames_out->Add(frames.size());
-    conn->in_flight.fetch_sub(1);
-    bool enqueued = false;
+    AppendResponse(work.request_id, encoded_response, wire);
+    Connection& conn = *work.conn;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->closed) {
-        conn->outbox_bytes += wire.size();
-        conn->outbox.push_back(std::move(wire));
-        enqueued = true;
+      std::lock_guard<std::mutex> lock(conn.mu);
+      conn.in_flight.fetch_sub(1);
+      if (conn.closed) {
+        return;
+      }
+      const bool write_through = conn.outbox.empty() && !conn.reading_paused;
+      QueueLocked(conn, std::move(wire));
+      if (write_through && DrainLocked(conn) && conn.outbox.empty()) {
+        return;
       }
     }
-    if (enqueued) {
-      {
-        std::lock_guard<std::mutex> lock(flush_mu_);
-        flush_list_.push_back(conn);
-      }
-      Wake();
+    {
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      flush_list_.push_back(work.conn);
     }
+    Wake();
   }
 
   rpc::RpcServer& rpc_;
@@ -639,8 +716,11 @@ class NetServer::Impl {
   std::vector<std::thread> workers_;
   std::atomic<bool> stopped_{false};
 
-  // Event-loop-owned connection table (fd -> connection).
+  // Event-loop-owned connection table (fd -> connection), and the current read
+  // pass's routed requests (reused across passes).
   std::unordered_map<int, std::shared_ptr<Connection>> conns_;
+  std::vector<Work> pool_batch_;
+  std::vector<Enquiry> enquiries_;
 
   std::mutex queue_mu_;
   std::condition_variable queue_cv_;

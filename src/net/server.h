@@ -2,28 +2,40 @@
 //
 // Architecture (one epoll loop + a small dispatch pool):
 //
-//   sockets --epoll--> event loop --decode frames--> work queue --> dispatch pool
-//                         ^                                             |
-//                         |   outbox + wakeup eventfd   <--responses----+
+//   sockets --epoll--> event loop --decode + route--> work queue --> dispatch pool
+//                       |      ^                                         |
+//                       |      +--- outbox + wakeup eventfd (short write)-+
+//                       +-- enquiries answered inline     responses written through
 //
-//   - The event loop owns every socket: non-blocking accepts, reads, and writes,
-//     with per-connection FrameDecoders. It never runs a handler and never blocks
-//     on the engine, so a thousand idle connections cost one thread.
+//   - The event loop owns every socket's reads, accepts and epoll interest, with
+//     per-connection FrameDecoders. It decodes each request once and routes it
+//     (RpcServer::Find). Enquiries (rpc::MethodKind::kEnquiry: bounded time, no I/O,
+//     at most the engine's shared lock) run right there; their responses are
+//     gathered per connection and sent with one send at the end of the read pass.
+//     Everything else is queued for the pool, and a worker notified, before the
+//     pass's enquiries run, so an update never waits behind them. The loop never
+//     runs a handler that may block, so a thousand idle connections cost one thread.
 //   - Dispatch workers drain the work queue in gulps. Requests whose method is
 //     registered as a *batchable update* (RpcServer::RegisterUpdate) are planned and
 //     committed together through ONE UpdateSink::CommitMany call — decoded updates
 //     from many sockets entering the group-commit pipeline as one ingest batch, so
-//     one fsync covers all of them. Everything else goes through RpcServer::Dispatch
-//     one call at a time. Workers may block (the commit pipeline does); the event
-//     loop keeps reading meanwhile, which is what makes pipelining deepen batches.
+//     one fsync covers all of them. Other methods go through RpcServer::Dispatch one
+//     call at a time. Workers may block (the commit pipeline does); the event loop
+//     keeps reading meanwhile, which is what makes pipelining deepen batches.
+//   - A worker writes its response through to the socket itself when nothing is
+//     queued ahead of it and reads are not paused. Otherwise, and for whatever a
+//     short write leaves, the bytes wait on the connection's outbox and the loop is
+//     woken to flush them. Every send happens under the connection's mutex from the
+//     outbox front, so frames never interleave.
 //   - Responses are matched by frame request id, so completion order is free:
 //     a slow Export does not head-of-line-block a fast Lookup on the same socket.
 //     Responses above options.chunk_payload stream as kResponseChunk frames.
 //
 // Backpressure (documented in docs/NETWORK.md): a connection with more than
 // max_pipelined_requests in flight, or more than max_outbox_bytes of unsent
-// response bytes, stops being read (its EPOLLIN is parked) until it drains. The
-// TCP window then pushes back on the client; nothing is ever dropped.
+// response bytes (gathered inline responses included), stops being read (its
+// EPOLLIN is parked) until it drains. The TCP window then pushes back on the
+// client; nothing is ever dropped.
 #ifndef SMALLDB_SRC_NET_SERVER_H_
 #define SMALLDB_SRC_NET_SERVER_H_
 
@@ -43,7 +55,8 @@ struct NetServerOptions {
 
   // Dispatch pool size. Workers block inside the commit pipeline, so this bounds
   // concurrent engine calls, not throughput: queued updates coalesce into the
-  // ingest batches the workers carry (ingest_drain at a time).
+  // ingest batches the workers carry (ingest_drain at a time). Enquiries do not
+  // use the pool.
   int dispatch_threads = 4;
 
   // Largest request frame accepted from a client.

@@ -10,7 +10,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -473,6 +477,285 @@ TEST(NetServerTest, ClosedChannelFailsPendingAndFutureCalls) {
   closer.join();
   auto after = SubmitCall(*channel, "Echo", "Shout", EchoRequest{"dead"});
   EXPECT_TRUE(after.status().Is(ErrorCode::kUnavailable)) << after.status();
+}
+
+// A name server on the simulated file system, served over TCP with its updates
+// batched through the engine's ingest sink.
+struct NameServiceFixture {
+  NameServiceFixture() : env(MakeEnv()) {
+    ns::NameServerOptions options;
+    options.db.vfs = &env.fs();
+    options.db.dir = "ns";
+    options.db.clock = &env.clock();
+    options.replica_id = "replica-1";
+    auto opened = ns::NameServer::Open(options);
+    EXPECT_TRUE(opened.ok()) << opened.status();
+    if (opened.ok()) {
+      server = std::move(*opened);
+      ns::RegisterNameService(rpc, *server,
+                              std::make_shared<DatabaseUpdateSink>(server->database()));
+    }
+  }
+
+  SimEnv env;
+  std::unique_ptr<ns::NameServer> server;
+  rpc::RpcServer rpc;
+};
+
+// Encodes one request frame as a pipelining client writes it.
+template <typename Req>
+void AppendRequestFrame(std::uint64_t id, const std::string& service,
+                        const std::string& method, const Req& body, Bytes& wire) {
+  rpc::Request request;
+  request.call_id = id;
+  request.service = service;
+  request.method = method;
+  PickleWriter writer;
+  writer.Write(body);
+  request.payload = std::move(writer).TakeRaw();
+  Frame frame;
+  frame.type = FrameType::kRequest;
+  frame.request_id = id;
+  frame.payload = rpc::EncodeRequest(request);
+  AppendFrame(frame, wire);
+}
+
+// A blocking socket to the server whose reads give up after `timeout`, so a test
+// that waits for a missing response fails instead of hanging. A small receive
+// buffer keeps the kernel from absorbing what the server sends.
+int ConnectRaw(std::uint16_t port, std::chrono::milliseconds timeout, int receive_buffer) {
+  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &receive_buffer, sizeof(receive_buffer));
+  timeval tv{};
+  tv.tv_sec = static_cast<time_t>(timeout.count() / 1000);
+  tv.tv_usec = static_cast<suseconds_t>((timeout.count() % 1000) * 1000);
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(NetServerTest, EnquiriesAreNotHeldBehindABlockedWorker) {
+  // One dispatch worker, blocked inside a plain (may-block) method. Enquiries on
+  // another connection must still be answered: the event loop serves them itself.
+  NameServiceFixture fixture;
+  ASSERT_NE(fixture.server, nullptr);
+  ASSERT_TRUE(fixture.server->Set("hosts/a", "10.0.0.1").ok());
+
+  std::mutex mu;
+  std::condition_variable cv;
+  bool entered = false;
+  bool released = false;
+  rpc::RegisterMethod<EchoRequest, EchoResponse>(
+      fixture.rpc, "Test", "Block", [&](const EchoRequest& request) -> Result<EchoResponse> {
+        std::unique_lock<std::mutex> lock(mu);
+        entered = true;
+        cv.notify_all();
+        // Bounded, so a failing run still finishes.
+        cv.wait_for(lock, std::chrono::seconds(30), [&] { return released; });
+        return EchoResponse{request.text};
+      });
+  auto release = [&] {
+    std::lock_guard<std::mutex> lock(mu);
+    released = true;
+    cv.notify_all();
+  };
+
+  NetServerOptions options;
+  options.dispatch_threads = 1;
+  auto server = NetServer::Start(fixture.rpc, options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  auto blocked = MustConnect((*server)->port());
+  auto enquirer = MustConnect((*server)->port());
+  ASSERT_NE(blocked, nullptr);
+  ASSERT_NE(enquirer, nullptr);
+
+  auto block_id = SubmitCall(*blocked, "Test", "Block", EchoRequest{"held"});
+  ASSERT_TRUE(block_id.ok()) << block_id.status();
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return entered; }))
+        << "the worker never picked up the blocking call";
+  }
+
+  std::future<Status> lookups = std::async(std::launch::async, [&]() -> Status {
+    ns::NameServiceClient client(*enquirer);
+    for (int i = 0; i < 20; ++i) {
+      Result<std::string> value = client.Lookup("hosts/a");
+      SDB_RETURN_IF_ERROR(value.status());
+      if (*value != "10.0.0.1") {
+        return InternalError("wrong value " + *value);
+      }
+      SDB_RETURN_IF_ERROR(client.List("hosts").status());
+    }
+    return OkStatus();
+  });
+  const bool answered =
+      lookups.wait_for(std::chrono::seconds(5)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "enquiries waited behind the blocked worker";
+  release();
+  Status lookup_status = lookups.get();
+  EXPECT_TRUE(lookup_status.ok()) << lookup_status;
+
+  auto held = AwaitCall<EchoResponse>(*blocked, *block_id);
+  ASSERT_TRUE(held.ok()) << held.status();
+  EXPECT_EQ(held->text, "held");
+}
+
+TEST(NetServerTest, BackpressureWithWriteThroughAnswersEveryIdOnce) {
+  // Tiny thresholds: a client pipelines Lookups (answered on the loop), Sets
+  // (answered by workers writing through) and one large chunked response before
+  // reading anything. Reads must pause, and every id must be answered exactly once.
+  NameServiceFixture fixture;
+  ASSERT_NE(fixture.server, nullptr);
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(
+        fixture.server->Set("seed/k" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  rpc::RegisterMethod<BlobRequest, BlobResponse>(
+      fixture.rpc, "Blob", "Get", [](const BlobRequest& request) -> Result<BlobResponse> {
+        BlobResponse response;
+        response.blob.assign(request.size, 0x5A);
+        return response;
+      });
+
+  NetServerOptions options;
+  options.max_pipelined_requests = 4;
+  options.max_outbox_bytes = 512;
+  options.chunk_payload = 4 * 1024;
+  auto server = NetServer::Start(fixture.rpc, options);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  constexpr std::uint64_t kRequests = 240;
+  constexpr std::uint64_t kBlobId = 120;
+  constexpr std::uint32_t kBlobSize = 1u << 20;
+  const std::string service(ns::kNameService);
+  Bytes wire;
+  for (std::uint64_t id = 1; id <= kRequests; ++id) {
+    if (id == kBlobId) {
+      AppendRequestFrame(id, "Blob", "Get", BlobRequest{kBlobSize}, wire);
+    } else if (id % 3 == 0) {
+      AppendRequestFrame(id, service, "Set",
+                         ns::SetRequest{"new/k" + std::to_string(id), "v"}, wire);
+    } else {
+      AppendRequestFrame(id, service, "Lookup",
+                         ns::LookupRequest{"seed/k" + std::to_string(id % 8)}, wire);
+    }
+  }
+
+  int fd = ConnectRaw((*server)->port(), std::chrono::milliseconds(5000), 8 * 1024);
+  ASSERT_GE(fd, 0);
+  // Everything goes out before anything is read (the requests fit in the socket
+  // buffers, so this cannot block on the paused server).
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(wire.size()));
+
+  std::map<std::uint64_t, int> answers;
+  std::map<std::uint64_t, Bytes> assembled;
+  FrameDecoder decoder;
+  std::uint8_t buffer[16 * 1024];
+  while (answers.size() < kRequests) {
+    ssize_t n = ::recv(fd, buffer, sizeof(buffer), 0);
+    ASSERT_GT(n, 0) << "stream ended or timed out with " << answers.size() << " of "
+                    << kRequests << " answered";
+    decoder.Feed(ByteSpan(buffer, static_cast<std::size_t>(n)));
+    for (;;) {
+      Result<std::optional<Frame>> next = decoder.Next();
+      ASSERT_TRUE(next.ok()) << next.status();
+      if (!next->has_value()) {
+        break;
+      }
+      Frame frame = std::move(**next);
+      Bytes& payload = assembled[frame.request_id];
+      payload.insert(payload.end(), frame.payload.begin(), frame.payload.end());
+      if (frame.type == FrameType::kResponseChunk && !frame.final_chunk()) {
+        continue;
+      }
+      ++answers[frame.request_id];
+      Result<rpc::Response> response = rpc::DecodeResponse(AsSpan(payload));
+      ASSERT_TRUE(response.ok()) << response.status();
+      EXPECT_TRUE(response->status.ok()) << "id " << frame.request_id << ": "
+                                         << response->status;
+      if (frame.request_id == kBlobId) {
+        PickleReader reader = PickleReader::Raw(AsSpan(response->payload));
+        BlobResponse blob;
+        ASSERT_TRUE(reader.Read(blob).ok());
+        EXPECT_EQ(blob.blob.size(), kBlobSize);
+      }
+      payload.clear();
+    }
+  }
+  // Nothing more may follow: a duplicate would arrive within the grace period.
+  timeval grace{0, 200 * 1000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &grace, sizeof(grace));
+  EXPECT_LT(::recv(fd, buffer, sizeof(buffer), 0), 1) << "bytes after the last answer";
+  ::close(fd);
+
+  ASSERT_EQ(answers.size(), kRequests);
+  for (const auto& [id, count] : answers) {
+    EXPECT_GE(id, 1u);
+    EXPECT_LE(id, kRequests);
+    EXPECT_EQ(count, 1) << "id " << id;
+  }
+  EXPECT_GT((*server)->stats().read_pauses, 0u);
+  EXPECT_GE((*server)->stats().chunked_responses, 1u);
+  for (std::uint64_t id = 3; id <= kRequests; id += 3) {
+    if (id != kBlobId) {
+      EXPECT_TRUE(fixture.server->Lookup("new/k" + std::to_string(id)).ok()) << id;
+    }
+  }
+}
+
+TEST(NetServerTest, StopWithRequestsInFlightReturnsPromptly) {
+  NameServiceFixture fixture;
+  ASSERT_NE(fixture.server, nullptr);
+  ASSERT_TRUE(fixture.server->Set("hosts/a", "10.0.0.1").ok());
+  auto server = NetServer::Start(fixture.rpc);
+  ASSERT_TRUE(server.ok()) << server.status();
+
+  constexpr int kChannels = 4;
+  std::vector<std::unique_ptr<NetChannel>> channels;
+  std::vector<std::vector<std::uint64_t>> ids(kChannels);
+  for (int c = 0; c < kChannels; ++c) {
+    channels.push_back(MustConnect((*server)->port()));
+    ASSERT_NE(channels.back(), nullptr);
+  }
+  const std::string service(ns::kNameService);
+  for (int i = 0; i < 64; ++i) {
+    for (int c = 0; c < kChannels; ++c) {
+      auto id = i % 4 == 0 ? SubmitCall(*channels[static_cast<std::size_t>(c)], service,
+                                        "Set",
+                                        ns::SetRequest{"k" + std::to_string(i), "v"})
+                           : SubmitCall(*channels[static_cast<std::size_t>(c)], service,
+                                        "Lookup", ns::LookupRequest{"hosts/a"});
+      ASSERT_TRUE(id.ok()) << id.status();
+      ids[static_cast<std::size_t>(c)].push_back(*id);
+    }
+  }
+
+  auto start = std::chrono::steady_clock::now();
+  (*server)->Stop();
+  auto stop_time = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(stop_time, std::chrono::seconds(5));
+
+  // Every call completes: answered before the stop, or failed by the closed socket
+  // (EOF or a reset). None hangs.
+  std::size_t answered = 0;
+  for (int c = 0; c < kChannels; ++c) {
+    for (std::uint64_t id : ids[static_cast<std::size_t>(c)]) {
+      answered += channels[static_cast<std::size_t>(c)]->Await(id).ok() ? 1 : 0;
+    }
+  }
+  EXPECT_LE(answered, static_cast<std::size_t>(kChannels) * 64);
 }
 
 }  // namespace

@@ -178,6 +178,87 @@ TEST_F(RpcStackTest, GarbageRequestYieldsErrorResponse) {
   EXPECT_FALSE(response->status.ok());
 }
 
+// --- routing: method kinds and the decoded-request entry point ---
+
+Request EchoCall(std::string method, EchoRequest body) {
+  Request request;
+  request.call_id = 77;
+  request.service = "Echo";
+  request.method = std::move(method);
+  PickleWriter writer;
+  writer.Write(body);
+  request.payload = std::move(writer).TakeRaw();
+  return request;
+}
+
+TEST_F(RpcStackTest, EnquiryKindSurvivesReRegistration) {
+  EXPECT_EQ(server_.Find("Echo", "Echo").kind(), MethodKind::kOther);
+  ASSERT_TRUE(server_.MarkEnquiry("Echo", "Echo").ok());
+  EXPECT_EQ(server_.Find("Echo", "Echo").kind(), MethodKind::kEnquiry);
+
+  // Replacing the handler through the typed stub (as a tracing wrapper does) keeps
+  // the kind, and the new handler serves.
+  RegisterMethod<EchoRequest, EchoResponse>(
+      server_, "Echo", "Echo", [](const EchoRequest& request) -> Result<EchoResponse> {
+        return EchoResponse{"wrapped:" + request.text};
+      });
+  Route route = server_.Find("Echo", "Echo");
+  ASSERT_TRUE(route.found());
+  EXPECT_EQ(route.kind(), MethodKind::kEnquiry);
+  LoopbackChannel channel(server_, {&clock_, 0});
+  auto response =
+      CallMethod<EchoRequest, EchoResponse>(channel, "Echo", "Echo", EchoRequest{"a", 1});
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->text, "wrapped:a");
+
+  EXPECT_TRUE(server_.MarkEnquiry("Echo", "Missing").Is(ErrorCode::kNotFound));
+}
+
+TEST_F(RpcStackTest, BatchableUpdatesCannotBeEnquiries) {
+  class NoSink final : public UpdateSink {
+   public:
+    std::vector<Status> CommitMany(
+        std::span<const std::function<Result<Bytes>()>> prepares) override {
+      return std::vector<Status>(prepares.size(), OkStatus());
+    }
+  };
+  server_.RegisterUpdate(
+      "Echo", "Put",
+      [](ByteSpan) -> Result<PlannedUpdate> {
+        return PlannedUpdate{[]() -> Result<Bytes> { return Bytes{}; }, Bytes{}};
+      },
+      std::make_shared<NoSink>());
+  EXPECT_EQ(server_.Find("Echo", "Put").kind(), MethodKind::kUpdate);
+  EXPECT_TRUE(server_.MarkEnquiry("Echo", "Put").Is(ErrorCode::kFailedPrecondition));
+  // A plain re-registration replaces the handler but leaves the update batchable.
+  server_.Register("Echo", "Put", [](ByteSpan) -> Result<Bytes> { return Bytes{}; });
+  EXPECT_EQ(server_.Find("Echo", "Put").kind(), MethodKind::kUpdate);
+}
+
+TEST_F(RpcStackTest, DispatchOfDecodedRequestMatchesDispatchOfBytes) {
+  for (const Request& request :
+       {EchoCall("Echo", EchoRequest{"xy", 2}), EchoCall("Echo", EchoRequest{"x", -1}),
+        EchoCall("Missing", EchoRequest{})}) {
+    SCOPED_TRACE(request.method);
+    Bytes from_request = server_.Dispatch(request);
+    Bytes from_bytes = server_.Dispatch(AsSpan(EncodeRequest(request)));
+    EXPECT_EQ(from_request, from_bytes);
+    EXPECT_EQ(server_.Dispatch(server_.Find(request.service, request.method), request),
+              from_request);
+  }
+}
+
+TEST_F(RpcStackTest, UnknownMethodAnswersNotFoundOnEveryEntryPoint) {
+  EXPECT_FALSE(server_.Find("Echo", "Missing").found());
+  EXPECT_FALSE(server_.Find("Nope", "Echo").found());
+  Request request = EchoCall("Missing", EchoRequest{});
+  Result<Response> response = DecodeResponse(AsSpan(server_.Dispatch(request)));
+  ASSERT_TRUE(response.ok()) << response.status();
+  EXPECT_EQ(response->call_id, request.call_id);
+  EXPECT_TRUE(response->status.Is(ErrorCode::kNotFound)) << response->status;
+  EXPECT_TRUE(server_.metrics().empty()) << "an unknown method is not a called method";
+}
+
 // --- the name service over RPC (the paper's client path) ---
 
 class NameServiceRpcTest : public ::testing::Test {
@@ -252,6 +333,19 @@ TEST_F(NameServiceRpcTest, RemoteCompareAndSetAndExport) {
   ASSERT_EQ(bindings.size(), 2u);
   EXPECT_EQ(bindings[0], (std::pair<std::string, std::string>{"cfg/a", "1b"}));
   EXPECT_EQ(bindings[1], (std::pair<std::string, std::string>{"cfg/b", "2"}));
+}
+
+TEST_F(NameServiceRpcTest, OnlyLookupAndListAreEnquiries) {
+  const std::string service(ns::kNameService);
+  EXPECT_EQ(rpc_server_.Find(service, "Lookup").kind(), MethodKind::kEnquiry);
+  EXPECT_EQ(rpc_server_.Find(service, "List").kind(), MethodKind::kEnquiry);
+  for (const char* method : {"Set", "Remove", "CompareAndSet", "Export", "PushUpdate",
+                             "UpdatesSince", "FullState"}) {
+    SCOPED_TRACE(method);
+    Route route = rpc_server_.Find(service, method);
+    ASSERT_TRUE(route.found());
+    EXPECT_NE(route.kind(), MethodKind::kEnquiry);
+  }
 }
 
 TEST_F(NameServiceRpcTest, ReplicationMethodsWork) {
