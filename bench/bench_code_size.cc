@@ -51,7 +51,7 @@ void Run() {
   Table table({"module", "paper (Modula-2+ lines)", "this reproduction (C++ lines)",
                "notes"});
   table.AddRow({"checkpoint + log engine", "638", Count(CountLines(src / "core")),
-                "includes recovery, policies, partitioning"});
+                "includes recovery, policies, group commit, sharding"});
   table.AddRow({"name-server database semantics", "1404",
                 Count(CountLines(src / "nameserver")),
                 "includes replication (2 extra programmer-months in the paper)"});

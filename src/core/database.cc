@@ -38,6 +38,10 @@ Database::Database(Application& app, DatabaseOptions options)
   delta_effective_ = options_.delta_checkpoint.enabled &&
                      !options_.keep_previous_checkpoint &&
                      !options_.fallback_to_previous_checkpoint;
+  // The private-base upcast must happen here, inside a member, not in make_unique.
+  GroupCommitHost& host = *this;
+  committer_ = std::make_unique<GroupCommitter>(lock_, *clock_, host, &log_sink_, &counters_,
+                                                stage_metrics_, options_.group_commit);
 }
 
 Database::~Database() {
@@ -76,15 +80,6 @@ Result<std::unique_ptr<Database>> Database::Open(Application& app, DatabaseOptio
   }
   std::unique_ptr<Database> db(new Database(app, std::move(options)));
   SDB_RETURN_IF_ERROR(db->Recover().WithContext("opening database in " + db->options_.dir));
-  if (db->options_.group_commit.enabled) {
-    // The private-base upcast must happen here, inside a member, not in make_unique.
-    GroupCommitHost& host = *db;
-    db->log_sink_.set_log(db->log_.get());
-    db->committer_ = std::make_unique<GroupCommitter>(db->lock_, *db->clock_, host,
-                                                      &db->log_sink_, &db->counters_,
-                                                      db->stage_metrics_,
-                                                      db->options_.group_commit);
-  }
   return db;
 }
 
@@ -121,6 +116,7 @@ Status Database::Recover() {
   SDB_ASSIGN_OR_RETURN(
       log_, OpenLogForAppend(version_store_.LogPath(
                 live_log_version_.load(std::memory_order_relaxed))));
+  log_sink_.set_log(log_.get());
   counters_.log_bytes->Set(static_cast<std::int64_t>(log_->size()));
   last_checkpoint_time_.store(clock_->NowMicros(), std::memory_order_relaxed);
   return OkStatus();
@@ -335,28 +331,6 @@ Status ReadOnlyError() {
   return FailedPreconditionError("database was opened read-only");
 }
 
-// Quiesces the commit pipeline for the guard's scope (no-op when group commit is
-// off). Taken BEFORE the update lock: an in-flight batch needs the lock to finish,
-// so pausing after acquiring it would deadlock.
-class PipelinePause {
- public:
-  explicit PipelinePause(GroupCommitter* committer) : committer_(committer) {
-    if (committer_ != nullptr) {
-      committer_->Pause();
-    }
-  }
-  ~PipelinePause() {
-    if (committer_ != nullptr) {
-      committer_->Resume();
-    }
-  }
-  PipelinePause(const PipelinePause&) = delete;
-  PipelinePause& operator=(const PipelinePause&) = delete;
-
- private:
-  GroupCommitter* committer_;
-};
-
 }  // namespace
 
 Status Database::Enquire(const std::function<Status()>& enquiry) {
@@ -368,23 +342,23 @@ Status Database::Enquire(const std::function<Status()>& enquiry) {
 }
 
 Status Database::Update(const std::function<Result<Bytes>()>& prepare) {
-  std::vector<std::function<Result<Bytes>()>> one{prepare};
-  return UpdateBatch(one);
+  return SubmitUpdate({&prepare, 1});
 }
 
 Status Database::UpdateBatch(const std::vector<std::function<Result<Bytes>()>>& prepares) {
   if (prepares.empty()) {
     return InvalidArgumentError("empty update batch");
   }
+  return SubmitUpdate({prepares.data(), prepares.size()});
+}
+
+Status Database::SubmitUpdate(std::span<const GroupCommitter::PrepareFn> prepares) {
   if (read_only_) {
     return ReadOnlyError();
   }
-  if (committer_ != nullptr) {
-    SDB_RETURN_IF_ERROR(committer_->Submit({prepares.data(), prepares.size()}));
-    MaybeAutoCheckpoint();
-    return OkStatus();
-  }
-  return UpdateSerial(prepares);
+  SDB_RETURN_IF_ERROR(committer_->Submit(prepares));
+  MaybeAutoCheckpoint();
+  return OkStatus();
 }
 
 std::vector<Status> Database::UpdateMany(
@@ -397,108 +371,9 @@ std::vector<Status> Database::UpdateMany(
     out.assign(prepares.size(), ReadOnlyError());
     return out;
   }
-  if (committer_ != nullptr) {
-    out = committer_->SubmitMany({prepares.data(), prepares.size()});
-    MaybeAutoCheckpoint();
-    return out;
-  }
-  // Serial fallback: each update is its own one-fsync commit, so per-update
-  // outcomes stay independent exactly as they do in the pipeline.
-  out.reserve(prepares.size());
-  for (const auto& prepare : prepares) {
-    std::vector<std::function<Result<Bytes>()>> one{prepare};
-    out.push_back(UpdateSerial(one));
-  }
-  return out;
-}
-
-// The paper's base protocol: one commit fsync per UpdateBatch call, the update lock
-// held across the disk write. Used when group commit is disabled. Stage timings are
-// recorded exactly like the pipeline's (queue wait is structurally zero here).
-Status Database::UpdateSerial(const std::vector<std::function<Result<Bytes>()>>& prepares) {
-  UpdateBreakdown breakdown;
-  const bool timing = obs::Enabled();
-  obs::CommitTrace trace;
-  {
-    Micros t_start = timing ? clock_->NowMicros() : 0;
-    SueLock::UpdateGuard guard(lock_);
-    Micros t_locked = clock_->NowMicros();
-    SDB_RETURN_IF_ERROR(CheckPoisoned());
-    trace.epoch = commit_epoch_.fetch_add(1, std::memory_order_relaxed) + 1;
-
-    // Step 1: verify preconditions and gather the parameters of each update into a
-    // record, under the update lock (enquiries continue concurrently).
-    std::vector<Bytes> records;
-    records.reserve(prepares.size());
-    for (const auto& prepare : prepares) {
-      Result<Bytes> record = prepare();
-      if (!record.ok()) {
-        counters_.precondition_failures->Increment();
-        return record.status();
-      }
-      records.push_back(std::move(*record));
-    }
-    Micros t_prepared = clock_->NowMicros();
-    breakdown.prepare_micros = t_prepared - t_locked;
-
-    // Step 2: record the updates in the disk log. The fsync is the commit point.
-    for (const Bytes& record : records) {
-      Status status = log_->Append(AsSpan(record));
-      if (!status.ok()) {
-        counters_.commit_failures->Increment();
-        return status.WithContext("appending log entry");
-      }
-    }
-    Micros t_appended = timing ? clock_->NowMicros() : t_prepared;
-    Status commit = log_->Commit();
-    Micros t_synced = clock_->NowMicros();
-    counters_.log_bytes->Set(static_cast<std::int64_t>(log_->size()));
-    if (!commit.ok()) {
-      counters_.commit_failures->Increment();
-      return commit.WithContext("committing log entry");
-    }
-    breakdown.log_micros = t_synced - t_prepared;
-    stage_metrics_.fsyncs->Increment();
-
-    // Step 3: apply to the virtual memory structure, in exclusive mode (enquiries are
-    // excluded only for this in-memory step, never during the disk write).
-    guard.Upgrade();
-    Micros t_exclusive = clock_->NowMicros();
-    for (const Bytes& record : records) {
-      Status status = app_.ApplyUpdate(AsSpan(record));
-      if (!status.ok()) {
-        // The record is durably logged but could not be applied: memory and disk have
-        // diverged. Fail closed.
-        poisoned_ = true;
-        return status.WithContext("applying committed update (database poisoned)");
-      }
-    }
-    Micros t_applied = clock_->NowMicros();
-    breakdown.apply_micros = t_applied - t_exclusive;
-    breakdown.total_micros =
-        breakdown.prepare_micros + breakdown.log_micros + breakdown.apply_micros;
-
-    counters_.updates->Add(records.size());
-    counters_.log_entries_since_checkpoint->Add(static_cast<std::int64_t>(records.size()));
-    if (timing) {
-      trace.records = records.size();
-      trace.start_micros = t_start;
-      trace.set_stage(obs::CommitStage::kLockWait, t_locked - t_start);
-      trace.set_stage(obs::CommitStage::kPrepare, t_prepared - t_locked);
-      trace.set_stage(obs::CommitStage::kAppend, t_appended - t_prepared);
-      trace.set_stage(obs::CommitStage::kFsync, t_synced - t_appended);
-      trace.set_stage(obs::CommitStage::kExclusiveWait, t_exclusive - t_synced);
-      trace.set_stage(obs::CommitStage::kApply, t_applied - t_exclusive);
-      trace.total_micros = t_applied - t_start;
-      stage_metrics_.RecordBatch(trace);
-    }
-    {
-      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      stats_.last_update = breakdown;
-    }
-  }
+  out = committer_->SubmitMany({prepares.data(), prepares.size()});
   MaybeAutoCheckpoint();
-  return OkStatus();
+  return out;
 }
 
 Result<std::uint64_t> Database::BatchBegin() {
@@ -527,7 +402,7 @@ Status Database::ReplaceState(ByteSpan state) {
   }
   AcquireCheckpointSlot();
   Status status = [&]() -> Status {
-    PipelinePause pause(committer_.get());
+    CommitPause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     guard.Upgrade();
     SDB_RETURN_IF_ERROR(app_.ResetState());
@@ -557,7 +432,7 @@ Status Database::Checkpoint() {
   Status status;
   bool persist_unlocked = false;
   {
-    PipelinePause pause(committer_.get());
+    CommitPause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     status = CheckPoisoned();
     if (status.ok()) {
@@ -654,9 +529,7 @@ Status Database::RotateForCheckpointLocked(CheckpointRotation* rotation, bool fo
     SDB_LOG(kWarning) << "closing rotated-out log: " << closed;
   }
   log_ = std::move(new_log);
-  if (committer_ != nullptr) {
-    log_sink_.set_log(log_.get());
-  }
+  log_sink_.set_log(log_.get());
   live_log_version_.store(rotation->target, std::memory_order_relaxed);
   commit_epoch_.fetch_add(1, std::memory_order_relaxed);
   last_checkpoint_time_.store(clock_->NowMicros(), std::memory_order_relaxed);
@@ -1120,7 +993,7 @@ void Database::MaybeAutoCheckpoint() {
   CheckpointRotation rotation;
   Status status;
   {
-    PipelinePause pause(committer_.get());
+    CommitPause pause(*committer_);
     SueLock::UpdateGuard guard(lock_);
     status = CheckPoisoned();
     if (status.ok()) {
@@ -1189,9 +1062,7 @@ DatabaseStats Database::stats() const {
   snapshot.auto_checkpoints = auto_checkpoints_->value();
   snapshot.log_entries_since_checkpoint =
       static_cast<std::uint64_t>(counters_.log_entries_since_checkpoint->value());
-  if (committer_ != nullptr) {
-    snapshot.group_commit = committer_->stats();
-  }
+  snapshot.group_commit = committer_->stats();
   return snapshot;
 }
 

@@ -31,6 +31,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -239,8 +240,9 @@ struct DatabaseOptions {
   bool skip_damaged_log_entries = false;   // hard-error mode: ignore damaged entries
   bool fallback_to_previous_checkpoint = false;  // hard-error mode: use version N-1
 
-  // Cross-thread group commit (Section 5). Enabled by default; disable to get the
-  // one-fsync-per-update serial path.
+  // The commit pipeline every update goes through (Section 5's "multiple commit
+  // records in a single log entry"). max_batch_records = 1 gives the paper's one
+  // fsync per update.
   GroupCommitOptions group_commit;
 
   LogWriterOptions log_writer;
@@ -350,9 +352,9 @@ class Database : private GroupCommitHost {
   // then appends the record to the log and forces it to disk — the commit point —
   // upgrades to exclusive, and applies the record through the application.
   //
-  // With group commit enabled (the default), concurrent callers' records share one
-  // log write and one fsync; this never weakens the contract below — Update returns
-  // OK only after this update's record is durable and applied, in log order.
+  // Concurrent callers' records share one log write and one fsync (the commit
+  // pipeline, group_commit.h); this never weakens the contract below — Update
+  // returns OK only after this update's record is durable and applied, in log order.
   //
   // If `prepare` fails, nothing is logged and the state is untouched. If the disk
   // write fails, the update is not applied (and will not be visible after restart).
@@ -369,8 +371,7 @@ class Database : private GroupCommitHost {
   // connections, carried into the engine by one transport thread — entering the
   // commit pipeline together so one fsync covers all of them. Unlike UpdateBatch,
   // each update succeeds or fails on its own (statuses returned in input order): a
-  // precondition failure drops only that update from the sealed batch. With group
-  // commit disabled, each update runs the serial one-fsync-per-update path.
+  // precondition failure drops only that update from the sealed batch.
   std::vector<Status> UpdateMany(
       const std::vector<std::function<Result<Bytes>()>>& prepares);
 
@@ -424,8 +425,8 @@ class Database : private GroupCommitHost {
   // timing breakdown of one commit batch.
   std::vector<obs::CommitTrace> DumpTrace() const;
 
-  // Monotone counter bumped at the start of every commit batch (and every serial
-  // update / checkpoint). Applications whose prepares derive values from in-memory
+  // Monotone counter bumped at the start of every commit batch (and every
+  // checkpoint). Applications whose prepares derive values from in-memory
   // state that the same batch will modify (e.g. replication sequence numbers) compare
   // this across prepares to detect "the state I read has pending, not-yet-applied
   // records in front of it"; see NameServer::SyncReservations.
@@ -466,7 +467,9 @@ class Database : private GroupCommitHost {
   Status InitFreshDatabase();
   Status LoadCheckpointAndReplay(const VersionState& state);
   Result<std::unique_ptr<LogWriter>> OpenLogForAppend(const std::string& path);
-  Status UpdateSerial(const std::vector<std::function<Result<Bytes>()>>& prepares);
+  // Update and UpdateBatch: one all-or-nothing request through the committer, then
+  // the automatic checkpoint check.
+  Status SubmitUpdate(std::span<const GroupCommitter::PrepareFn> prepares);
   Status RotateForCheckpointLocked(CheckpointRotation* rotation, bool force_full = false);
   Status PersistCheckpoint(CheckpointRotation rotation);
   Status PersistDeltaCheckpoint(CheckpointRotation rotation);
@@ -524,8 +527,8 @@ class Database : private GroupCommitHost {
   std::atomic<bool> poisoned_{false};
   bool read_only_ = false;
 
-  // Created after recovery when writable and group commit is enabled. Declared after
-  // log_ so it is destroyed first.
+  // Created at construction; only writable opens submit to it. Declared after log_
+  // so it is destroyed first.
   std::unique_ptr<GroupCommitter> committer_;
 
   // Hot-path counters: registry-owned lock-free metrics so overlapping commits never

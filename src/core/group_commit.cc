@@ -17,77 +17,62 @@ GroupCommitter::GroupCommitter(SueLock& lock, Clock& clock, GroupCommitHost& hos
       sink_(sink) {}
 
 Status GroupCommitter::Submit(std::span<const PrepareFn> prepares) {
-  Request req(prepares);
-  const bool timing = obs::Enabled();
-  if (timing) {
-    req.enqueued_micros = clock_.NowMicros();
-  }
-  std::unique_lock<std::mutex> lock(mu_);
-  queue_.push_back(&req);
-  for (;;) {
-    if (req.done) {
-      if (req.rode_along) {
-        ++stats_.sync_waits;
-        // Ack stage: the gap between the leader finishing the batch and this rider
-        // thread observing completion (scheduler + condvar latency).
-        if (timing && req.completed_micros != 0) {
-          stage_metrics_.stage[static_cast<int>(obs::CommitStage::kAck)]->Record(
-              clock_.NowMicros() - req.completed_micros);
-        }
-      }
-      return req.status;
-    }
-    if (!batch_in_progress_ && !paused_) {
-      LeadBatch(lock, req);
-      continue;  // re-check done: the led batch normally contained our request
-    }
-    cv_.wait(lock);
-  }
+  Request request(prepares);
+  EnqueueAndWait({&request, 1});
+  return std::move(request.status);
 }
 
 std::vector<Status> GroupCommitter::SubmitMany(std::span<const PrepareFn> prepares) {
-  std::vector<Status> out(prepares.size());
+  std::vector<Status> out;
   if (prepares.empty()) {
     return out;
   }
   // One Request per prepare: each is acknowledged independently (a precondition
-  // failure drops only its own update from the batch). A deque keeps the addresses
-  // stable while they sit in queue_.
-  std::deque<Request> requests;
-  const bool timing = obs::Enabled();
-  Micros enqueued = timing ? clock_.NowMicros() : 0;
-  for (std::size_t i = 0; i < prepares.size(); ++i) {
-    requests.emplace_back(std::span<const PrepareFn>(&prepares[i], 1));
-    requests.back().enqueued_micros = enqueued;
+  // failure drops only its own update from the batch). Reserved up front, so the
+  // addresses stay stable while they sit in queue_.
+  std::vector<Request> requests;
+  requests.reserve(prepares.size());
+  for (const PrepareFn& prepare : prepares) {
+    requests.emplace_back(std::span<const PrepareFn>(&prepare, 1));
   }
+  EnqueueAndWait(requests);
+  out.reserve(requests.size());
+  for (Request& request : requests) {
+    out.push_back(std::move(request.status));
+  }
+  return out;
+}
 
+void GroupCommitter::EnqueueAndWait(std::span<Request> requests) {
+  const bool timing = obs::Enabled();
+  const Micros enqueued = timing ? clock_.NowMicros() : 0;
   std::unique_lock<std::mutex> lock(mu_);
   for (Request& request : requests) {
+    request.enqueued_micros = enqueued;
     queue_.push_back(&request);
   }
+  // Batches seal from the front of queue_ and run one at a time, so the requests
+  // complete in order: everything before `pending` is done.
+  std::size_t pending = 0;
   for (;;) {
-    Request* undone = nullptr;
-    for (Request& request : requests) {
-      if (!request.done) {
-        undone = &request;
-        break;
-      }
+    while (pending < requests.size() && requests[pending].done) {
+      ++pending;
     }
-    if (undone == nullptr) {
+    if (pending == requests.size()) {
       break;
     }
     if (!batch_in_progress_ && !paused_) {
-      LeadBatch(lock, *undone);
-      continue;
+      LeadBatch(lock, requests[pending]);
+      continue;  // re-check done: the led batch normally contained our requests
     }
     cv_.wait(lock);
   }
-  Micros now = timing ? clock_.NowMicros() : 0;
+  // Ack stage: the gap between a leader finishing the batch and this rider thread
+  // observing completion (scheduler + condvar latency).
+  const Micros now = timing ? clock_.NowMicros() : 0;
   obs::Histogram* ack_hist =
       stage_metrics_.stage[static_cast<int>(obs::CommitStage::kAck)];
-  for (std::size_t i = 0; i < prepares.size(); ++i) {
-    Request& request = requests[i];
-    out[i] = request.status;
+  for (const Request& request : requests) {
     if (request.rode_along) {
       ++stats_.sync_waits;
       if (timing && request.completed_micros != 0) {
@@ -95,7 +80,6 @@ std::vector<Status> GroupCommitter::SubmitMany(std::span<const PrepareFn> prepar
       }
     }
   }
-  return out;
 }
 
 void GroupCommitter::LeadBatch(std::unique_lock<std::mutex>& lock, Request& self) {

@@ -2,9 +2,11 @@
 //
 // The paper's Section 5 observes that the only way past one-fsync-per-update
 // throughput is "arranging to record multiple commit records in a single log entry".
-// The engine's manual Database::UpdateBatch does that for updates a single caller
-// already holds in hand; this subsystem does it for *concurrent* callers with no API
-// change: N threads calling Database::Update() at once share one log disk write.
+// Every update reaches the log through this pipeline: Database::UpdateBatch's
+// records (held in hand by one caller), UpdateMany's independent updates, and
+// concurrent callers with no API change: N threads calling Database::Update() at
+// once share one log disk write. With max_batch_records = 1 it is the paper's
+// serial discipline, one fsync per update.
 //
 // Protocol (leader election among waiters; no background thread):
 //   - Each caller enqueues its prepare callback(s) and blocks.
@@ -32,7 +34,7 @@
 //     same serializability a single update lock gave the one-at-a-time path.
 //
 // Within one batch, prepares run back-to-back before any of the batch's applies
-// (exactly like the pre-existing manual UpdateBatch): a prepare does not see the
+// (exactly like the records of one UpdateBatch): a prepare does not see the
 // effects of earlier records *of the same batch*. Applications whose records carry
 // state derived from the in-memory database (e.g. the name server's replication
 // sequence numbers) can detect batch boundaries via Database::commit_epoch() and
@@ -63,13 +65,11 @@
 namespace sdb {
 
 struct GroupCommitOptions {
-  // When false, Database::Update falls back to the one-fsync-per-update serial path
-  // (the paper's base protocol). Used by benchmarks as the baseline and available as
-  // an escape hatch.
-  bool enabled = true;
-
   // Upper bound on records sealed into one batch (one fsync). 0 = unlimited. Bounds
-  // both the single contiguous log write and the exclusive-mode apply span.
+  // both the single contiguous log write and the exclusive-mode apply span. 1 is the
+  // paper's serial discipline: one fsync per update, though still with no lock held
+  // across the disk write. A request larger than the cap (an UpdateBatch) still
+  // commits whole in one batch.
   std::size_t max_batch_records = 1024;
 };
 
@@ -105,7 +105,7 @@ struct UpdateCounters {
   obs::Counter* precondition_failures = nullptr;
   obs::Counter* commit_failures = nullptr;
   obs::Gauge* log_entries_since_checkpoint = nullptr;
-  // Mirror of the live log's size, refreshed after every batch/serial commit, so
+  // Mirror of the live log's size, refreshed after every batch commit, so
   // Database::log_bytes() needs no lock while a batch is streaming to disk.
   obs::Gauge* log_bytes = nullptr;
 };
@@ -253,8 +253,8 @@ class CrossShardCoalescer {
   Stats stats_;
 };
 
-// Per-batch phase timing (also the shape of DatabaseStats::last_update; with the
-// pipeline enabled it describes the last *batch*).
+// Per-batch phase timing (also the shape of DatabaseStats::last_update, where it
+// describes the last *batch*).
 struct UpdateBreakdown {
   Micros prepare_micros = 0;  // precondition checks + pickling, under the update lock
   Micros log_micros = 0;      // the batch disk write + fsync (the commit), no lock held
@@ -337,6 +337,11 @@ class GroupCommitter {
     Micros completed_micros = 0;  // stamp when the leader publishes done (ack stage)
   };
 
+  // Enqueues `requests` under one acquisition of mu_, then leads or rides batches
+  // until every one of them is done, and records the ack stage of those a batch
+  // led by another thread completed. Submit and SubmitMany both come through here.
+  void EnqueueAndWait(std::span<Request> requests);
+
   // Seals `queue_` (up to max_batch_records) into a batch and runs it to completion.
   // Called with `lock` held; releases it for the batch's duration and reacquires it
   // to publish completion.
@@ -357,6 +362,22 @@ class GroupCommitter {
   bool batch_in_progress_ = false;
   bool paused_ = false;
   GroupCommitStats stats_;
+};
+
+// Pauses a committer for the scope's lifetime (GroupCommitter::Pause/Resume). Take
+// it BEFORE the engine's update lock: an in-flight batch needs that lock to finish,
+// so pausing while holding it would deadlock.
+class CommitPause {
+ public:
+  explicit CommitPause(GroupCommitter& committer) : committer_(committer) {
+    committer_.Pause();
+  }
+  ~CommitPause() { committer_.Resume(); }
+  CommitPause(const CommitPause&) = delete;
+  CommitPause& operator=(const CommitPause&) = delete;
+
+ private:
+  GroupCommitter& committer_;
 };
 
 }  // namespace sdb

@@ -37,18 +37,6 @@ std::optional<std::uint64_t> ParseDecimal(std::string_view text) {
   return value;
 }
 
-// Resumes a paused pipeline on every exit path of checkpoint Phase A.
-class PipelineResumer {
- public:
-  explicit PipelineResumer(GroupCommitter* committer) : committer_(committer) {}
-  ~PipelineResumer() { committer_->Resume(); }
-  PipelineResumer(const PipelineResumer&) = delete;
-  PipelineResumer& operator=(const PipelineResumer&) = delete;
-
- private:
-  GroupCommitter* committer_;
-};
-
 }  // namespace
 
 // --- ShardRouter ---
@@ -596,8 +584,7 @@ Status ShardedDatabase::CheckpointPhaseA(std::size_t p, ShardRotation* rotation)
   // committed record of shard p is already applied (or belongs to a failed,
   // unacknowledged batch — which replay is allowed to skip), so the log size read
   // below is a safe replay-from offset for the snapshot.
-  unit.committer->Pause();
-  PipelineResumer resumer(unit.committer.get());
+  CommitPause pause(*unit.committer);
   SueLock::UpdateGuard guard(unit.lock);
   SDB_RETURN_IF_ERROR(CheckPoisoned());
   if (unit.poisoned.load(std::memory_order_relaxed)) {

@@ -85,8 +85,8 @@ struct ShardedOptions {
   LogWriterOptions log_writer;
   std::size_t log_replay_page_size = 512;
 
-  // Per-shard commit pipelines (always on: the sharded engine IS the group-commit
-  // composition). max_batch_records applies per shard.
+  // Per-shard commit pipelines, the same committer Database runs.
+  // max_batch_records applies per shard.
   GroupCommitOptions group_commit;
 
   // Rotate the shared log automatically inside Checkpoint() when the rotation rule

@@ -5,7 +5,8 @@
 //   - enquiries are never blocked while a commit batch is on the disk;
 //   - an apply failure poisons every waiter of the batch, and ReplaceState heals;
 //   - checkpoints interleave safely with concurrent writers;
-//   - the serial (group_commit.enabled = false) path still does one fsync per update;
+//   - max_batch_records = 1 (the paper's serial discipline) does one fsync per update,
+//     even under concurrent updaters, and still commits an oversized UpdateBatch whole;
 //   - concurrent NameServer Sets mint gap-free replication sequence numbers even when
 //     their prepares share one batch.
 #include <gtest/gtest.h>
@@ -366,10 +367,11 @@ TEST(GroupCommitTest, CheckpointsInterleaveWithConcurrentWriters) {
 }
 
 TEST(GroupCommitTest, SerialPathDoesOneFsyncPerUpdate) {
+  // One record per batch: every update pays its own log commit.
   SimEnv env = MakeEnv();
   TestApp app;
   DatabaseOptions options = BaseOptions(env, env.fs());
-  options.group_commit.enabled = false;
+  options.group_commit.max_batch_records = 1;
 
   auto db_or = Database::Open(app, options);
   ASSERT_TRUE(db_or.ok()) << db_or.status();
@@ -380,9 +382,10 @@ TEST(GroupCommitTest, SerialPathDoesOneFsyncPerUpdate) {
 
   DatabaseStats stats = db->stats();
   EXPECT_EQ(stats.updates, 2u);
-  EXPECT_EQ(stats.group_commit.syncs, 0u);  // pipeline not in play
+  EXPECT_EQ(stats.group_commit.syncs, db->log_writer_stats().commits);
   EXPECT_EQ(db->log_writer_stats().commits, 2u);
   EXPECT_EQ(db->log_writer_stats().entries_appended, 2u);
+  EXPECT_EQ(stats.group_commit.max_records_per_sync, 1u);
 }
 
 TEST(GroupCommitTest, UpdateManySharesOneFsyncWithIndependentOutcomes) {
@@ -429,12 +432,12 @@ TEST(GroupCommitTest, UpdateManySharesOneFsyncWithIndependentOutcomes) {
 }
 
 TEST(GroupCommitTest, UpdateManySerialFallbackKeepsOutcomesIndependent) {
-  // With the pipeline off, UpdateMany degrades to one commit per update — outcomes
-  // stay independent, just without the shared fsync.
+  // With one record per batch, UpdateMany degrades to one commit per update —
+  // outcomes stay independent, just without the shared fsync.
   SimEnv env = MakeEnv();
   TestApp app;
   DatabaseOptions options = BaseOptions(env, env.fs());
-  options.group_commit.enabled = false;
+  options.group_commit.max_batch_records = 1;
   auto db_or = Database::Open(app, options);
   ASSERT_TRUE(db_or.ok()) << db_or.status();
   std::unique_ptr<Database> db = std::move(*db_or);
@@ -450,6 +453,73 @@ TEST(GroupCommitTest, UpdateManySerialFallbackKeepsOutcomesIndependent) {
   EXPECT_TRUE(outcomes[2].ok());
   EXPECT_EQ(app.state.at("taken"), "old");
   EXPECT_EQ(db->log_writer_stats().commits, 3u);  // one per successful update
+  EXPECT_EQ(db->stats().group_commit.syncs, 3u);
+  EXPECT_EQ(db->stats().group_commit.records_committed, 3u);
+}
+
+TEST(GroupCommitTest, OneRecordPerBatchUnderConcurrencyAndOversizedBatchCommitsWhole) {
+  // max_batch_records = 1 behind a dilated fsync: updaters pile up in the queue, yet
+  // every seal takes exactly one record, so fsyncs == records. A request larger than
+  // the cap still goes whole (the first request of a seal always fits).
+  SimEnv env = MakeEnv();
+  SyncHookFs fs(env.fs());
+  std::atomic<bool> armed{false};
+  fs.set_hook([&armed] {
+    if (armed.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  DatabaseOptions options = BaseOptions(env, fs);
+  options.group_commit.max_batch_records = 1;
+
+  constexpr int kThreads = 6;
+  constexpr int kPerThread = 10;
+  TestApp app;
+  auto db_or = Database::Open(app, options);
+  ASSERT_TRUE(db_or.ok()) << db_or.status();
+  std::unique_ptr<Database> db = std::move(*db_or);
+  armed.store(true);
+
+  std::vector<std::thread> writers;
+  std::atomic<int> failures{0};
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < kPerThread; ++i) {
+        std::string key = "t" + std::to_string(t) + "-k" + std::to_string(i);
+        if (!db->Update(app.PreparePut(key, "v-" + key)).ok()) {
+          failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  ASSERT_EQ(failures.load(), 0);
+
+  constexpr std::uint64_t kRecords = kThreads * kPerThread;
+  GroupCommitStats stats = db->stats().group_commit;
+  EXPECT_EQ(stats.syncs, kRecords);
+  EXPECT_EQ(stats.records_committed, kRecords);
+  EXPECT_EQ(stats.max_records_per_sync, 1u);
+  EXPECT_GT(stats.sync_waits, 0u);  // the queue did build up behind the dilated fsync
+  EXPECT_EQ(db->log_writer_stats().commits, kRecords);
+
+  ASSERT_TRUE(db->UpdateBatch({app.PreparePut("x", "1"), app.PreparePut("y", "2"),
+                               app.PreparePut("z", "3")})
+                  .ok());
+  armed.store(false);
+  stats = db->stats().group_commit;
+  EXPECT_EQ(stats.syncs, kRecords + 1);  // three records, one fsync
+  EXPECT_EQ(stats.records_committed, kRecords + 3);
+  EXPECT_EQ(stats.max_records_per_sync, 3u);
+  EXPECT_EQ(app.state.size(), static_cast<std::size_t>(kRecords + 3));
+
+  db.reset();
+  TestApp recovered;
+  auto reopened = Database::Open(recovered, BaseOptions(env, env.fs()));
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  EXPECT_EQ(recovered.state, app.state);
 }
 
 TEST(GroupCommitTest, ConcurrentUpdateManyCallersCoalesceAcrossBatches) {
